@@ -194,7 +194,10 @@ TEST_P(TreeBarrier, AllThreadsCompleteEveryEpisode)
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TreeBarrier,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16),
+                         [](const ::testing::TestParamInfo<int> &info) {
+                             return std::to_string(info.param);
+                         });
 
 TEST(TreeBarrierSemantics, OrderingAcrossPhases)
 {

@@ -71,7 +71,12 @@ INSTANTIATE_TEST_SUITE_P(
         IntOpCase{"slt", 4, 3, 0}, IntOpCase{"slt", -1, 0, 1},
         IntOpCase{"sle", 4, 4, 1}, IntOpCase{"sle", 5, 4, 0},
         IntOpCase{"seq", 9, 9, 1}, IntOpCase{"seq", 9, 8, 0},
-        IntOpCase{"sne", 9, 8, 1}, IntOpCase{"sne", 9, 9, 0}));
+        IntOpCase{"sne", 9, 8, 1}, IntOpCase{"sne", 9, 9, 0}),
+    [](const ::testing::TestParamInfo<IntOpCase> &info) {
+        // The list repeats ops, so the index keeps names unique.
+        return std::string(info.param.op) + "_" +
+               std::to_string(info.index);
+    });
 
 TEST(MachineExec, AddWrapsWithoutUb)
 {
@@ -123,7 +128,11 @@ INSTANTIATE_TEST_SUITE_P(
         FpOpCase{"fsqrt", 9.0, 0.0, 3.0, true},
         FpOpCase{"fneg", 2.5, 0.0, -2.5, true},
         FpOpCase{"fabs", -2.5, 0.0, 2.5, true},
-        FpOpCase{"fmv", 7.25, 0.0, 7.25, true}));
+        FpOpCase{"fmv", 7.25, 0.0, 7.25, true}),
+    [](const ::testing::TestParamInfo<FpOpCase> &info) {
+        return std::string(info.param.op) + "_" +
+               std::to_string(info.index);
+    });
 
 TEST(MachineExec, FpCompares)
 {

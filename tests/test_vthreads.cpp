@@ -186,10 +186,12 @@ TEST(VThreads, TimerInstallsFollowFifoOrder)
             << "install #" << i;
 
     // Zero cost: save/restore events exist but carry no cycles.
-    for (const SchedEventLog::Event &e : log.events)
+    for (const SchedEventLog::Event &e : log.events) {
         if (e.kind == SchedEventKind::Save ||
-            e.kind == SchedEventKind::Restore)
+            e.kind == SchedEventKind::Restore) {
             EXPECT_EQ(e.detail, 0u);
+        }
+    }
 }
 
 TEST(VThreads, BlockedThreadsRequeueAndWake)
