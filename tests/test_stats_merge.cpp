@@ -1,15 +1,16 @@
 /**
  * @file
- * Pins the merge() semantics of the per-component stat structs. These
- * tests were written against the pre-metrics-layer behaviour and must
- * stay green through the registry refactor: publishing into
- * MetricsRegistry scopes and rolling them up has to aggregate exactly
- * like the original hand-rolled merge() chains.
+ * Pins the merge() semantics of the per-component stat structs.
+ * Machine::run sums each processor's CpuStats, CacheStats, SchedStats
+ * and FuseStats with these merges, so every machine-wide total a run
+ * reports (and every mts.run/1 metric built from it) rests on them.
  */
 #include <gtest/gtest.h>
 
 #include "cache/cache.hpp"
 #include "cpu/cpu_stats.hpp"
+#include "cpu/fuse_stats.hpp"
+#include "cpu/sched_stats.hpp"
 #include "mem/network.hpp"
 
 using namespace mts;
@@ -174,4 +175,61 @@ TEST(StatsMerge, MergeIsOrderIndependent)
     EXPECT_EQ(ab.finishTime, ba.finishTime);
     EXPECT_EQ(ab.runLengths.count(), ba.runLengths.count());
     EXPECT_DOUBLE_EQ(ab.runLengths.mean(), ba.runLengths.mean());
+}
+
+TEST(StatsMerge, SchedStatsSumsEveryCounter)
+{
+    SchedStats a, b;
+    a.preemptions = 1;
+    a.saveCycles = 2;
+    a.restoreCycles = 3;
+    a.blockSwitches = 4;
+    a.haltInstalls = 5;
+    a.requeues = 6;
+    b.preemptions = 10;
+    b.saveCycles = 20;
+    b.restoreCycles = 30;
+    b.blockSwitches = 40;
+    b.haltInstalls = 50;
+    b.requeues = 60;
+    a.merge(b);
+    EXPECT_EQ(a.preemptions, 11u);
+    EXPECT_EQ(a.saveCycles, 22u);
+    EXPECT_EQ(a.restoreCycles, 33u);
+    EXPECT_EQ(a.blockSwitches, 44u);
+    EXPECT_EQ(a.haltInstalls, 55u);
+    EXPECT_EQ(a.requeues, 66u);
+}
+
+TEST(StatsMerge, SchedStatsQueueDepthHistogramsConcatenate)
+{
+    SchedStats a, b;
+    a.queueDepth.add(1);
+    a.queueDepth.add(6);
+    b.queueDepth.add(1, 2);
+    a.merge(b);
+    EXPECT_EQ(a.queueDepth.count(), 4u);
+    EXPECT_EQ(a.queueDepth.sum(), 1u + 6u + 2u);
+    EXPECT_DOUBLE_EQ(a.queueDepth.fractionAt(1), 3.0 / 4);
+}
+
+TEST(StatsMerge, FuseStatsSumsEveryCounter)
+{
+    FuseStats a, b;
+    a.spans = 1;
+    a.execs = 2;
+    a.instructions = 3;
+    a.bailoutWatermark = 4;
+    a.bailoutBudget = 5;
+    b.spans = 10;
+    b.execs = 20;
+    b.instructions = 30;
+    b.bailoutWatermark = 40;
+    b.bailoutBudget = 50;
+    a.merge(b);
+    EXPECT_EQ(a.spans, 11u);
+    EXPECT_EQ(a.execs, 22u);
+    EXPECT_EQ(a.instructions, 33u);
+    EXPECT_EQ(a.bailoutWatermark, 44u);
+    EXPECT_EQ(a.bailoutBudget, 55u);
 }
