@@ -284,12 +284,22 @@ runDifferential(const std::string &userSource, const DiffOptions &opts)
         }
     }
 
+    // Each variant is copied and decoded once; every Machine of the
+    // matrix shares it (and so its FuseCache) immutably.
     struct Variant
     {
         const char *name;
-        const Program *prog;
+        std::shared_ptr<const Program> prog;
+        std::shared_ptr<const DecodedProgram> decoded;
     };
-    const Variant variants[] = {{"raw", &raw}, {"grouped", &grouped}};
+    auto makeVariant = [](const char *name, Program &&program) {
+        auto prog = std::make_shared<const Program>(std::move(program));
+        auto decoded = std::make_shared<const DecodedProgram>(
+            decodeProgram(prog->code));
+        return Variant{name, std::move(prog), std::move(decoded)};
+    };
+    const Variant variants[] = {makeVariant("raw", std::move(raw)),
+                                makeVariant("grouped", std::move(grouped))};
 
     std::vector<SwitchModel> models = opts.models;
     if (models.empty())
@@ -343,7 +353,7 @@ runDifferential(const std::string &userSource, const DiffOptions &opts)
             label += " fuse=off";
         ++report.machineRuns;
         try {
-            Machine machine(*v.prog, cfg);
+            Machine machine(v.prog, v.decoded, cfg);
             machine.setPrintHandler([](const std::string &) {});
             RunResult r = machine.run();
             if (r.digest != ref.digest)
@@ -369,7 +379,7 @@ runDifferential(const std::string &userSource, const DiffOptions &opts)
         for (SwitchModel model : models) {
             // Raw code has no cswitch anywhere (including the prelude's
             // spin loops), so cswitch-driven models would livelock.
-            if (v.prog == &raw && modelNeedsSwitchInstr(model))
+            if (&v == &variants[0] && modelNeedsSwitchInstr(model))
                 continue;
             for (int tpp : opts.tppList) {
                 if (tpp <= 0 || opts.threads % tpp != 0)
