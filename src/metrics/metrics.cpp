@@ -31,14 +31,6 @@ MetricsRegistry::add(const std::string &name, std::uint64_t delta)
 }
 
 void
-MetricsRegistry::max(const std::string &name, std::uint64_t value)
-{
-    Metric &m = slot(name, Kind::MaxCounter);
-    if (value > m.count)
-        m.count = value;
-}
-
-void
 MetricsRegistry::set(const std::string &name, double value)
 {
     slot(name, Kind::Real).real = value;
@@ -57,7 +49,7 @@ MetricsRegistry::counter(const std::string &name) const
     if (it == index.end())
         return 0;
     const Metric &m = entries[it->second];
-    MTS_REQUIRE(m.kind == Kind::Counter || m.kind == Kind::MaxCounter,
+    MTS_REQUIRE(m.kind == Kind::Counter,
                 "metric '" << name << "' is not a counter");
     return m.count;
 }
@@ -86,62 +78,6 @@ MetricsRegistry::hist(const std::string &name) const
     return &m.hist;
 }
 
-void
-MetricsRegistry::combineInto(const Metric &src, const std::string &dstName)
-{
-    Metric &dst = slot(dstName, src.kind);
-    switch (src.kind) {
-      case Kind::Counter:
-        dst.count += src.count;
-        break;
-      case Kind::MaxCounter:
-        if (src.count > dst.count)
-            dst.count = src.count;
-        break;
-      case Kind::Real:
-        dst.real = src.real;
-        break;
-      case Kind::Hist:
-        dst.hist.merge(src.hist);
-        break;
-    }
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    for (const Metric &m : other.entries)
-        combineInto(m, m.name);
-}
-
-void
-MetricsRegistry::rollUp(const std::string &parent)
-{
-    const std::string prefix = parent + ".p";
-    // entries grows as totals are appended; bound the scan to the
-    // pre-roll-up population.
-    const std::size_t n = entries.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::string &name = entries[i].name;
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        std::size_t pos = prefix.size();
-        std::size_t digits = 0;
-        while (pos + digits < name.size() &&
-               name[pos + digits] >= '0' && name[pos + digits] <= '9')
-            ++digits;
-        if (!digits || pos + digits >= name.size() ||
-            name[pos + digits] != '.')
-            continue;
-        std::string rest = name.substr(pos + digits + 1);
-        // Copy: combineInto may reallocate the index but entries is a
-        // deque, so the reference stays valid; the copy guards against
-        // self-combination anyway.
-        Metric src = entries[i];
-        combineInto(src, parent + "." + rest);
-    }
-}
-
 JsonValue
 MetricsRegistry::toJson() const
 {
@@ -160,7 +96,6 @@ MetricsRegistry::toJson() const
         JsonValue &leaf = (*node)[m.name.substr(start)];
         switch (m.kind) {
           case Kind::Counter:
-          case Kind::MaxCounter:
             leaf = JsonValue(m.count);
             break;
           case Kind::Real:
@@ -181,13 +116,6 @@ MetricsRegistry::toJson() const
         }
     }
     return root;
-}
-
-void
-MetricsRegistry::clear()
-{
-    entries.clear();
-    index.clear();
 }
 
 } // namespace mts

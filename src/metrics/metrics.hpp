@@ -1,18 +1,14 @@
 /**
  * @file
- * MetricsRegistry: named, hierarchical simulation metrics.
+ * MetricsRegistry: named, typed simulation metrics.
  *
- * Every component of a run (each processor, each cache, the network
- * accounting) publishes its counters into one registry under a dotted
- * scope ("cpu.p3.instructions", "cache.p3.hits", "net.messages").
- * Aggregation across processors happens inside the registry (rollUp),
- * replacing the hand-rolled per-struct merge() chains as the way a
- * RunResult's machine-wide totals are produced; the structs and their
- * merge() survive as the hot-path collection format and are pinned by
- * tests/test_stats_merge.cpp.
+ * The stat structs (CpuStats, CacheStats, ...) collect and aggregate a
+ * run's counters; Machine::run then builds one registry from the
+ * machine-wide totals (runMetrics in metrics/run_record.hpp), holding
+ * exactly what an mts.run/1 record prints under dotted scopes
+ * ("cpu.instructions", "cache.hits", "net.messages").
  *
- * Metrics are typed: monotonic counters (summed on roll-up), max
- * counters (e.g. finish times), real-valued gauges, and power-of-two
+ * Metrics are typed: counters, real-valued gauges, and power-of-two
  * histograms (run-length distributions). Insertion order is preserved
  * everywhere so JSON emission is deterministic.
  */
@@ -36,10 +32,9 @@ class MetricsRegistry
   public:
     enum class Kind
     {
-        Counter,     ///< monotonic sum
-        MaxCounter,  ///< roll-up takes the maximum (finish times)
-        Real,        ///< real-valued gauge (derived rates)
-        Hist         ///< power-of-two histogram
+        Counter,  ///< monotonic sum
+        Real,     ///< real-valued gauge (derived rates)
+        Hist      ///< power-of-two histogram
     };
 
     /** One named metric. */
@@ -47,7 +42,7 @@ class MetricsRegistry
     {
         std::string name;
         Kind kind = Kind::Counter;
-        std::uint64_t count = 0;  ///< Counter / MaxCounter payload
+        std::uint64_t count = 0;  ///< Counter payload
         double real = 0.0;        ///< Real payload
         Histogram hist;           ///< Hist payload
     };
@@ -55,16 +50,13 @@ class MetricsRegistry
     /** Add @p delta to counter @p name (created on first use). */
     void add(const std::string &name, std::uint64_t delta);
 
-    /** Raise max-counter @p name to at least @p value. */
-    void max(const std::string &name, std::uint64_t value);
-
     /** Set real gauge @p name. */
     void set(const std::string &name, double value);
 
     /** Histogram @p name (created on first use; reference is stable). */
     Histogram &histogram(const std::string &name);
 
-    /** Counter/max-counter value; 0 when absent. */
+    /** Counter value; 0 when absent. */
     std::uint64_t counter(const std::string &name) const;
 
     /** Real gauge value; 0.0 when absent. */
@@ -99,30 +91,13 @@ class MetricsRegistry
     }
 
     /**
-     * Combine another registry into this one, by name: counters sum,
-     * max counters take the maximum, reals overwrite, histograms merge.
-     */
-    void merge(const MetricsRegistry &other);
-
-    /**
-     * Aggregate per-processor scopes: every metric named
-     * "<parent>.p<N>.<rest>" is combined into "<parent>.<rest>"
-     * according to its kind. This is the registry-level replacement of
-     * the per-struct merge() chains.
-     */
-    void rollUp(const std::string &parent);
-
-    /**
      * Nested JSON object: dotted names become nested scopes, histograms
      * become {count, mean, buckets} objects.
      */
     JsonValue toJson() const;
 
-    void clear();
-
   private:
     Metric &slot(const std::string &name, Kind kind);
-    void combineInto(const Metric &src, const std::string &dstName);
 
     std::deque<Metric> entries;  ///< deque: stable references
     std::unordered_map<std::string, std::size_t> index;

@@ -2,13 +2,14 @@
  * @file
  * RunRecord: the single structured product of one simulation run.
  *
- * Where RunResult is the in-memory working set (merged stat structs plus
- * the full per-processor registry), a RunRecord is the compact, named,
+ * Where RunResult is the in-memory working set (the machine-wide stat
+ * totals plus the run's metrics registry), a RunRecord is the named,
  * self-describing form everything machine-readable flows through: the
- * machine configuration that produced the run, the aggregate metric
- * scopes, derived rates, and — when produced by ExperimentRunner — the
- * efficiency context against the reference run. `mtsim --json`, the
- * bench Reporter and the sweep aggregation all emit RunRecords.
+ * machine configuration that produced the run, a copy of the run's
+ * registry (aggregate scopes and derived rates), and — when produced by
+ * ExperimentRunner — the efficiency context against the reference run.
+ * `mtsim --json`, the bench Reporter and the sweep aggregation all emit
+ * RunRecords.
  */
 #ifndef MTS_METRICS_RUN_RECORD_HPP
 #define MTS_METRICS_RUN_RECORD_HPP
@@ -22,6 +23,7 @@
 namespace mts
 {
 
+class Directory;
 struct MachineConfig;
 struct RunResult;
 
@@ -62,7 +64,8 @@ struct RunRecord
     std::uint64_t digestRegs = 0;
     /// @}
 
-    /** Aggregate scopes only (cpu, cache, net, estimate, derived). */
+    /** The run's registry (RunResult::metrics): aggregate scopes and
+     *  derived rates, no per-processor scope. */
     MetricsRegistry metrics;
 
     /// @name Efficiency context (ExperimentRunner-produced records).
@@ -76,7 +79,19 @@ struct RunRecord
     JsonValue toJson() const;
 };
 
-/** Build the record of @p result under @p config. */
+/**
+ * The metrics of one finished run, built once from the machine-wide
+ * totals in @p result: the cpu, net and (cached models) cache scopes,
+ * plus link, sched, fuse, estimate and a limited @p directory's
+ * counters where @p config turns them on, and the derived rates.
+ * Machine::run stores it in RunResult::metrics.
+ */
+MetricsRegistry runMetrics(const RunResult &result,
+                           const MachineConfig &config,
+                           const Directory &directory);
+
+/** Build the record of @p result under @p config (the config the run
+ *  was made with); its metrics are a copy of result.metrics. */
 RunRecord makeRunRecord(const RunResult &result,
                         const MachineConfig &config,
                         std::string appName = {});

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "metrics/stat_publish.hpp"
+#include "metrics/run_record.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
@@ -294,71 +294,40 @@ Machine::run()
                                    th.fregs[kDigestFpReg1]);
         }
 
-    // Publish every component into the metrics registry under its own
-    // scope; machine-wide totals are produced by the registry roll-up
-    // and the merged structs reconstituted from the aggregated scopes.
-    MetricsRegistry &reg = r.metrics;
-    for (int p = 0; p < cfg.numProcs; ++p) {
-        const std::string tag = ".p" + std::to_string(p);
-        publishCpuStats(reg, "cpu" + tag, procs[p]->stats);
-        if (const SharedCache *c = procs[p]->cache())
-            publishCacheStats(reg, "cache" + tag, c->statistics());
-        // The scheduler scope exists only with virtual threading on:
-        // publishing nothing keeps the 1:1 metric set — and golden
-        // traces — identical to the seed.
-        if (cfg.swThreadsPerProc > 0)
-            publishSchedStats(reg, "sched" + tag, procs[p]->sched);
-        // Likewise the fused-tier scope exists only while the tier is
-        // armed: fuse-off runs keep the seed's exact metric set.
-        if (procs[p]->fuseTier())
-            publishFuseStats(reg, "fuse" + tag, procs[p]->fuse);
-        std::uint64_t estHits = 0, estMisses = 0;
+    // Machine-wide totals: each processor's structs summed with their
+    // merge(). The per-processor structs stay where they were collected
+    // (processor(p).stats/.sched/.fuse and its cache's statistics()).
+    // The scheduler and fused-tier totals exist only while those layers
+    // are on.
+    r.hasSchedStats = cfg.swThreadsPerProc > 0;
+    r.hasFuseStats = procs[0]->fuseTier();
+    for (const auto &proc : procs) {
+        r.cpu.merge(proc->stats);
+        if (const SharedCache *c = proc->cache())
+            r.cache.merge(c->statistics());
+        if (r.hasSchedStats)
+            r.sched.merge(proc->sched);
+        if (r.hasFuseStats)
+            r.fuse.merge(proc->fuse);
         for (int t = 0; t < cfg.effSwThreadsPerProc(); ++t) {
-            const auto &g = procs[p]
-                                ->thread(static_cast<std::uint16_t>(t))
-                                .groupEstimate;
-            estHits += g.hits();
-            estMisses += g.misses();
+            const auto &g =
+                proc->thread(static_cast<std::uint16_t>(t)).groupEstimate;
+            r.estimateHits += g.hits();
+            r.estimateMisses += g.misses();
         }
-        reg.add("estimate" + tag + ".hits", estHits);
-        reg.add("estimate" + tag + ".misses", estMisses);
     }
-    publishNetworkStats(reg, "net", netStats);
-    // Topology-aware backends expose per-link contention counters;
-    // the constant-latency pipe has none (and publishing nothing keeps
-    // its metric set — and golden traces — identical to the seed).
+    r.net = netStats;
+    // Topology-aware backends expose per-link contention counters; the
+    // constant-latency pipe has none.
     if (const NetLinkStats *ls = net->linkStats()) {
-        publishLinkStats(reg, "link", *ls);
         r.link = *ls;
         r.hasLinkStats = true;
     }
-    if (cfg.directory.mode != DirectoryMode::FullMap) {
-        reg.add("directory.overflows", directory.overflows());
-        reg.add("directory.broadcasts", directory.broadcasts());
-    }
-    reg.rollUp("cpu");
-    reg.rollUp("cache");
-    reg.rollUp("estimate");
-    if (cfg.swThreadsPerProc > 0) {
-        reg.rollUp("sched");
-        r.sched = schedStatsFromMetrics(reg, "sched");
-        r.hasSchedStats = true;
-    }
-    if (cfg.numProcs > 0 && procs[0]->fuseTier()) {
-        reg.rollUp("fuse");
-        r.fuse = fuseStatsFromMetrics(reg, "fuse");
-        r.hasFuseStats = true;
-    }
-
-    r.cpu = cpuStatsFromMetrics(reg, "cpu");
-    r.cache = cacheStatsFromMetrics(reg, "cache");
-    r.net = networkStatsFromMetrics(reg, "net");
-    r.estimateHits = reg.counter("estimate.hits");
-    r.estimateMisses = reg.counter("estimate.misses");
     r.cycles = r.cpu.finishTime;
+    r.metrics = runMetrics(r, cfg, directory);
 
     if (cfg.tracer)
-        cfg.tracer->onMetricsSnapshot(r.cycles, reg);
+        cfg.tracer->onMetricsSnapshot(r.cycles, r.metrics);
     return r;
 }
 

@@ -25,17 +25,16 @@ struct RunResult
     int swThreadsPerProc = 0;   ///< software threads (0 = 1:1, layer off)
 
     /**
-     * Every published metric of the run: per-processor scopes
-     * ("cpu.p3.instructions", "cache.p3.hits") plus the rolled-up
-     * machine-wide totals ("cpu.instructions") the structs below are
-     * reconstituted from. See metrics/run_record.hpp for the compact
-     * exported form.
+     * The run's metrics, built once from the totals below
+     * (runMetrics in metrics/run_record.hpp): exactly what its
+     * mts.run/1 record prints. Per-processor counts are not published;
+     * read them from Machine::processor(p) after the run.
      */
     MetricsRegistry metrics;
 
-    CpuStats cpu;               ///< rolled up over all processors
+    CpuStats cpu;               ///< merged over all processors
     NetworkStats net;
-    CacheStats cache;           ///< rolled up over all processor caches
+    CacheStats cache;           ///< merged over all processor caches
 
     /**
      * Per-link contention counters of a topology-aware interconnect
@@ -46,7 +45,7 @@ struct RunResult
     bool hasLinkStats = false;
 
     /**
-     * Virtual-threading scheduler counters, rolled up over all
+     * Virtual-threading scheduler counters, merged over all
      * processors; hasSchedStats is false when the layer is off (1:1),
      * in which case nothing is published under "sched." either.
      */
@@ -54,7 +53,7 @@ struct RunResult
     bool hasSchedStats = false;
 
     /**
-     * Fused superinstruction-tier counters, rolled up over all
+     * Fused superinstruction-tier counters, merged over all
      * processors; hasFuseStats is false when the tier is off (fusion
      * disabled, tracer attached, or switch-every-cycle), in which case
      * nothing is published under "fuse." either.

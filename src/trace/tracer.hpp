@@ -146,10 +146,11 @@ class Tracer
     }
 
     /**
-     * The run completed at @p cycle and its metrics were published:
-     * @p metrics holds every per-processor scope plus the rolled-up
-     * totals (see metrics/metrics.hpp). Called once, after the event
-     * loop drains and before Machine::run returns.
+     * The run completed at @p cycle and its metrics were built:
+     * @p metrics is the run's RunResult::metrics, the machine-wide
+     * totals its mts.run/1 record prints (see metrics/run_record.hpp).
+     * Called once, after the event loop drains and before
+     * Machine::run returns.
      */
     virtual void
     onMetricsSnapshot(Cycle cycle, const MetricsRegistry &metrics)

@@ -2,7 +2,6 @@
 
 #include "apps/app.hpp"
 #include "asm/assembler.hpp"
-#include "metrics/stat_publish.hpp"
 #include "opt/grouping_pass.hpp"
 #include "sim/machine.hpp"
 #include "util/error.hpp"
@@ -101,10 +100,11 @@ describeDigestDiff(const Program &prog, const RefResult &ref,
     return out;
 }
 
-/** Check the metrics accounting identities of one finished run. */
+/** Check the accounting identities of one finished run: per processor
+ *  on @p machine's live stat structs, machine-wide on @p r. */
 void
-checkInvariants(const RunResult &r, const MachineConfig &cfg,
-                const std::string &label,
+checkInvariants(Machine &machine, const RunResult &r,
+                const MachineConfig &cfg, const std::string &label,
                 std::vector<Divergence> &divergences)
 {
     auto fail = [&](const std::string &detail) {
@@ -114,18 +114,14 @@ checkInvariants(const RunResult &r, const MachineConfig &cfg,
 
     const bool vt = cfg.swThreadsPerProc > 0;
     for (int p = 0; p < cfg.numProcs; ++p) {
-        CpuStats c = cpuStatsFromMetrics(
-            r.metrics, "cpu.p" + std::to_string(p));
+        const CpuStats &c = machine.processor(p).stats;
         Cycle accounted = c.busyCycles + c.stallCycles + c.idleCycles;
         if (accounted != c.finishTime)
             fail(format("cpu.p%d: busy+stall+idle = %llu != finish_time "
                         "%llu",
                         p, static_cast<unsigned long long>(accounted),
                         static_cast<unsigned long long>(c.finishTime)));
-        SchedStats s;
-        if (vt)
-            s = schedStatsFromMetrics(r.metrics,
-                                      "sched.p" + std::to_string(p));
+        const SchedStats &s = machine.processor(p).sched;
         std::uint64_t runsEnded = c.runLengths.count() + c.zeroRuns;
         std::uint64_t runsExpected =
             c.switchesTaken + s.preemptions +
@@ -361,7 +357,8 @@ runDifferential(const std::string &userSource, const DiffOptions &opts)
                     {DivergenceKind::Digest, label,
                      describeDigestDiff(*v.prog, ref, machine, cfg)});
             if (opts.checkInvariants)
-                checkInvariants(r, cfg, label, report.divergences);
+                checkInvariants(machine, r, cfg, label,
+                                report.divergences);
         } catch (const FatalError &e) {
             report.divergences.push_back(
                 {DivergenceKind::RunError, label,

@@ -1,9 +1,8 @@
 /**
  * @file
- * MetricsRegistry: typed metrics, roll-up semantics, equivalence with
- * the legacy struct merge() chains, RunRecord emission, and the
- * end-to-end publishing done by Machine::run (including the tracer
- * metrics-snapshot hook).
+ * MetricsRegistry: typed metrics, JSON nesting, RunRecord emission, and
+ * the one registry Machine::run builds from its totals (including the
+ * tracer metrics-snapshot hook).
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "core/mtsim.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/run_record.hpp"
-#include "metrics/stat_publish.hpp"
 #include "test_helpers.hpp"
 
 using namespace mts;
@@ -27,124 +25,13 @@ TEST(MetricsRegistry, CountersAccumulate)
     EXPECT_FALSE(reg.contains("missing"));
 }
 
-TEST(MetricsRegistry, MaxCountersTakeMaximum)
-{
-    MetricsRegistry reg;
-    reg.max("cpu.p0.finish_time", 100);
-    reg.max("cpu.p0.finish_time", 40);
-    EXPECT_EQ(reg.counter("cpu.p0.finish_time"), 100u);
-    reg.max("cpu.p0.finish_time", 250);
-    EXPECT_EQ(reg.counter("cpu.p0.finish_time"), 250u);
-}
-
 TEST(MetricsRegistry, KindMismatchIsFatal)
 {
     MetricsRegistry reg;
     reg.add("x", 1);
-    EXPECT_THROW(reg.max("x", 2), FatalError);
     EXPECT_THROW(reg.set("x", 1.0), FatalError);
     EXPECT_THROW(reg.histogram("x"), FatalError);
     EXPECT_THROW(reg.hist("x"), FatalError);
-}
-
-TEST(MetricsRegistry, RollUpAggregatesPerProcScopes)
-{
-    MetricsRegistry reg;
-    reg.add("cpu.p0.instructions", 100);
-    reg.add("cpu.p1.instructions", 50);
-    reg.max("cpu.p0.finish_time", 10);
-    reg.max("cpu.p1.finish_time", 90);
-    reg.histogram("cpu.p0.run_lengths").add(4);
-    reg.histogram("cpu.p1.run_lengths").add(8, 2);
-    reg.rollUp("cpu");
-    EXPECT_EQ(reg.counter("cpu.instructions"), 150u);
-    EXPECT_EQ(reg.counter("cpu.finish_time"), 90u);
-    ASSERT_NE(reg.hist("cpu.run_lengths"), nullptr);
-    EXPECT_EQ(reg.hist("cpu.run_lengths")->count(), 3u);
-    // Per-proc scopes survive the roll-up.
-    EXPECT_EQ(reg.counter("cpu.p1.instructions"), 50u);
-}
-
-TEST(MetricsRegistry, RollUpIgnoresForeignScopes)
-{
-    MetricsRegistry reg;
-    reg.add("net.messages", 7);
-    reg.add("cpu.p0.instructions", 1);
-    reg.add("cpu.px.instructions", 99);  // not a processor index
-    reg.rollUp("cpu");
-    EXPECT_EQ(reg.counter("cpu.instructions"), 1u);
-    EXPECT_EQ(reg.counter("net.messages"), 7u);
-}
-
-TEST(MetricsRegistry, PublishRollUpMatchesLegacyMergeChain)
-{
-    // The registry path must aggregate exactly like the merge() chain
-    // it replaced (pinned in test_stats_merge.cpp).
-    CpuStats a, b;
-    a.instructions = 11;
-    a.busyCycles = 21;
-    a.finishTime = 500;
-    a.runLengths.add(3);
-    b.instructions = 7;
-    b.busyCycles = 9;
-    b.finishTime = 900;
-    b.runLengths.add(3);
-    b.runLengths.add(64);
-
-    CpuStats merged = a;
-    merged.merge(b);
-
-    MetricsRegistry reg;
-    publishCpuStats(reg, "cpu.p0", a);
-    publishCpuStats(reg, "cpu.p1", b);
-    reg.rollUp("cpu");
-    CpuStats viaRegistry = cpuStatsFromMetrics(reg, "cpu");
-
-    EXPECT_EQ(viaRegistry.instructions, merged.instructions);
-    EXPECT_EQ(viaRegistry.busyCycles, merged.busyCycles);
-    EXPECT_EQ(viaRegistry.finishTime, merged.finishTime);
-    EXPECT_EQ(viaRegistry.runLengths.count(), merged.runLengths.count());
-    EXPECT_DOUBLE_EQ(viaRegistry.runLengths.mean(),
-                     merged.runLengths.mean());
-}
-
-TEST(MetricsRegistry, PublishReadbackAreInverse)
-{
-    NetworkStats n;
-    n.messages = 5;
-    n.forwardBits = 123;
-    n.returnBits = 456;
-    n.invalMsgs = 2;
-    CacheStats c;
-    c.hits = 10;
-    c.misses = 3;
-    MetricsRegistry reg;
-    publishNetworkStats(reg, "net", n);
-    publishCacheStats(reg, "cache", c);
-    NetworkStats n2 = networkStatsFromMetrics(reg, "net");
-    CacheStats c2 = cacheStatsFromMetrics(reg, "cache");
-    EXPECT_EQ(n2.messages, n.messages);
-    EXPECT_EQ(n2.totalBits(), n.totalBits());
-    EXPECT_EQ(n2.invalMsgs, n.invalMsgs);
-    EXPECT_EQ(c2.hits, c.hits);
-    EXPECT_EQ(c2.misses, c.misses);
-}
-
-TEST(MetricsRegistry, MergeCombinesRegistries)
-{
-    MetricsRegistry a, b;
-    a.add("x.count", 1);
-    a.max("x.peak", 5);
-    b.add("x.count", 2);
-    b.max("x.peak", 3);
-    b.add("y.only", 7);
-    b.histogram("x.h").add(2);
-    a.merge(b);
-    EXPECT_EQ(a.counter("x.count"), 3u);
-    EXPECT_EQ(a.counter("x.peak"), 5u);
-    EXPECT_EQ(a.counter("y.only"), 7u);
-    ASSERT_NE(a.hist("x.h"), nullptr);
-    EXPECT_EQ(a.hist("x.h")->count(), 1u);
 }
 
 TEST(MetricsRegistry, ToJsonNestsScopes)
@@ -176,13 +63,11 @@ class SnapshotTracer : public Tracer
     {
         snapshotCycle = cycle;
         instructions = metrics.counter("cpu.instructions");
-        perProc = metrics.counter("cpu.p0.instructions");
         calls++;
     }
 
     Cycle snapshotCycle = 0;
     std::uint64_t instructions = 0;
-    std::uint64_t perProc = 0;
     int calls = 0;
 };
 
@@ -213,10 +98,12 @@ loop:
     Machine m(assemble(src), cfg);
     RunResult r = m.run();
 
-    // Registry totals equal the struct view reconstituted from them.
+    // Registry totals equal the merged structs they were built from,
+    // and the merge sums the per-processor structs.
     EXPECT_EQ(r.metrics.counter("cpu.instructions"), r.cpu.instructions);
-    EXPECT_EQ(r.metrics.counter("cpu.p0.instructions") +
-                  r.metrics.counter("cpu.p1.instructions"),
+    EXPECT_GT(m.processor(0).stats.instructions, 0u);
+    EXPECT_EQ(m.processor(0).stats.instructions +
+                  m.processor(1).stats.instructions,
               r.cpu.instructions);
     EXPECT_EQ(r.metrics.counter("cpu.finish_time"), r.cycles);
     EXPECT_EQ(r.metrics.counter("net.messages"), r.net.messages);
@@ -228,7 +115,6 @@ loop:
     EXPECT_EQ(tracer.calls, 1);
     EXPECT_EQ(tracer.snapshotCycle, r.cycles);
     EXPECT_EQ(tracer.instructions, r.cpu.instructions);
-    EXPECT_GT(tracer.perProc, 0u);
 }
 
 TEST(RunRecordTest, CarriesConfigAndHeadlineMetrics)
