@@ -194,10 +194,7 @@ TEST_P(TreeBarrier, AllThreadsCompleteEveryEpisode)
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, TreeBarrier,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16),
-                         [](const ::testing::TestParamInfo<int> &info) {
-                             return std::to_string(info.param);
-                         });
+                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
 
 TEST(TreeBarrierSemantics, OrderingAcrossPhases)
 {

@@ -271,14 +271,44 @@ main:
 
 // ---- The big property: the pass preserves application semantics. ----
 
+namespace
+{
+
+/**
+ * One app per case, printed as its name. Test discovery names each case
+ * after its printed parameter, and a bare `const App *` would print as
+ * an address, which moves with every relink.
+ */
+struct AppParam
+{
+    const App *app;
+};
+
+void
+PrintTo(const AppParam &p, std::ostream *os)
+{
+    *os << p.app->name();
+}
+
+std::vector<AppParam>
+appParams()
+{
+    std::vector<AppParam> params;
+    for (const App *app : allApps())
+        params.push_back({app});
+    return params;
+}
+
+} // namespace
+
 class GroupingSemanticsProperty
-    : public ::testing::TestWithParam<const App *>
+    : public ::testing::TestWithParam<AppParam>
 {
 };
 
 TEST_P(GroupingSemanticsProperty, GroupedCodeComputesSameResults)
 {
-    const App &app = *GetParam();
+    const App &app = *GetParam().app;
     AsmOptions opts = app.options(0.05);
     Program original = assemble(app.source(), opts);
     GroupingStats gs;
@@ -306,9 +336,5 @@ TEST_P(GroupingSemanticsProperty, GroupedCodeComputesSameResults)
     EXPECT_TRUE(r2.ok) << r2.message;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllApps, GroupingSemanticsProperty,
-    ::testing::ValuesIn(allApps()),
-    [](const ::testing::TestParamInfo<const App *> &info) {
-        return info.param->name();
-    });
+INSTANTIATE_TEST_SUITE_P(AllApps, GroupingSemanticsProperty,
+                         ::testing::ValuesIn(appParams()));

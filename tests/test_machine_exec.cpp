@@ -43,6 +43,15 @@ struct IntOpCase
     std::int64_t a, b, expect;
 };
 
+// Test discovery names each case after its printed parameter. Print
+// the operation ("add(3,4)"), not the struct's bytes: those start with
+// the op pointer, which moves with every relink.
+void
+PrintTo(const IntOpCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a << "," << c.b << ")";
+}
+
 class IntAluTest : public ::testing::TestWithParam<IntOpCase>
 {
 };
@@ -71,12 +80,7 @@ INSTANTIATE_TEST_SUITE_P(
         IntOpCase{"slt", 4, 3, 0}, IntOpCase{"slt", -1, 0, 1},
         IntOpCase{"sle", 4, 4, 1}, IntOpCase{"sle", 5, 4, 0},
         IntOpCase{"seq", 9, 9, 1}, IntOpCase{"seq", 9, 8, 0},
-        IntOpCase{"sne", 9, 8, 1}, IntOpCase{"sne", 9, 9, 0}),
-    [](const ::testing::TestParamInfo<IntOpCase> &info) {
-        // The list repeats ops, so the index keeps names unique.
-        return std::string(info.param.op) + "_" +
-               std::to_string(info.index);
-    });
+        IntOpCase{"sne", 9, 8, 1}, IntOpCase{"sne", 9, 9, 0}));
 
 TEST(MachineExec, AddWrapsWithoutUb)
 {
@@ -105,6 +109,16 @@ struct FpOpCase
     bool unary;
 };
 
+// Printed as "fadd(1.5,2.25)" or "fsqrt(9)", for the reason above.
+void
+PrintTo(const FpOpCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a;
+    if (!c.unary)
+        *os << "," << c.b;
+    *os << ")";
+}
+
 class FpAluTest : public ::testing::TestWithParam<FpOpCase>
 {
 };
@@ -128,11 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
         FpOpCase{"fsqrt", 9.0, 0.0, 3.0, true},
         FpOpCase{"fneg", 2.5, 0.0, -2.5, true},
         FpOpCase{"fabs", -2.5, 0.0, 2.5, true},
-        FpOpCase{"fmv", 7.25, 0.0, 7.25, true}),
-    [](const ::testing::TestParamInfo<FpOpCase> &info) {
-        return std::string(info.param.op) + "_" +
-               std::to_string(info.index);
-    });
+        FpOpCase{"fmv", 7.25, 0.0, 7.25, true}));
 
 TEST(MachineExec, FpCompares)
 {
